@@ -383,6 +383,9 @@ where
             shared.push(w, score, (j, r));
         },
     );
+    // Each emitted key is one tuple read and scored — the same tuples the
+    // join evaluator counts when it scans this CN's root tuple set.
+    stats.add_scanned(ws.emitted);
     stats.add_output(ws.emitted);
     stats.add_blocks_skipped(ws.blocks_skipped);
     true
@@ -769,6 +772,65 @@ mod tests {
                     .collect();
                 sets.sort();
                 assert_eq!(serial_sets, sets, "layout={layout:?} workers={workers}");
+            }
+        }
+    }
+
+    /// With no block pruned, the WAND fast path scans exactly the tuples
+    /// the join evaluator scans for the same single-node full-mask CN: the
+    /// CN's root tuple set.
+    #[test]
+    fn wand_fast_path_counts_tuples_scanned_like_join_evaluator() {
+        use kwdb_common::index::Layout;
+        let mut db = db();
+        db.insert(
+            "paper",
+            vec![14.into(), "Widom XML retrospective".into(), 2.into()],
+        )
+        .unwrap();
+        for layout in [Layout::Plain, Layout::Blocks] {
+            db.build_text_index_with(layout);
+            let (ts, cns) = setup(&db, &["widom", "xml"]);
+            let single: Vec<CandidateNetwork> = cns
+                .into_iter()
+                .filter(|cn| cn.nodes.len() == 1 && cn.nodes[0].mask == ts.full_mask())
+                .collect();
+            assert_eq!(single.len(), 1, "layout={layout:?}");
+
+            let joined = ExecStats::new();
+            let mut scratch = EvalScratch::new();
+            scratch.begin_query();
+            let results = evaluate_cn_pooled(&db, &single[0], &ts, &mut scratch, &joined);
+            assert!(!results.is_empty(), "layout={layout:?}");
+            assert!(joined.tuples_scanned() > 0, "layout={layout:?}");
+
+            let scorer = ResultScorer::new(&db);
+            let keywords = ["widom", "xml"];
+            let q = TopKQuery {
+                db: &db,
+                ts: &ts,
+                cns: &single,
+                scorer: &scorer,
+                keywords: &keywords,
+            };
+            let pool = ScratchPool::new();
+            for workers in [1, 8] {
+                let wand = ExecStats::new();
+                // k covers every result, so the threshold never prunes a block.
+                let out = parallel_topk_budgeted(
+                    &q,
+                    results.len(),
+                    &wand,
+                    &Budget::unlimited(),
+                    workers,
+                    &pool,
+                );
+                assert_eq!(out.results.len(), results.len(), "layout={layout:?}");
+                assert_eq!(
+                    wand.tuples_scanned(),
+                    joined.tuples_scanned(),
+                    "layout={layout:?} workers={workers}"
+                );
             }
         }
     }

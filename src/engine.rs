@@ -2037,6 +2037,44 @@ mod tests {
         assert!(resp.stats.operators.tuples_scanned > 0);
     }
 
+    /// The default worker count follows the host's cores, so pin each
+    /// executor explicitly: the serial pipeline (1) and the parallel one
+    /// (2, 8), whose WAND fast path serves the single-node full-mask CN.
+    /// A query that produced hits has scanned tuples on every path, and the
+    /// counters that do not depend on interleaving agree across paths.
+    #[test]
+    fn tuples_scanned_reported_for_every_worker_count() {
+        let db = Arc::new(generate_dblp(&DblpConfig {
+            n_papers: 60,
+            n_authors: 30,
+            ..Default::default()
+        }));
+        let mut serial: Option<(u64, Vec<f64>)> = None;
+        for workers in [1, 2, 8] {
+            let engine = RelationalEngine::with_config(
+                Arc::clone(&db),
+                RelationalConfig {
+                    intra_query_workers: workers,
+                    ..Default::default()
+                },
+            );
+            let resp = engine
+                .execute(&SearchRequest::new("data query").k(5))
+                .unwrap();
+            assert!(!resp.hits.is_empty(), "workers={workers}");
+            assert!(resp.stats.operators.tuples_scanned > 0, "workers={workers}");
+            let generated = resp.stats.candidates_generated;
+            assert_eq!(
+                resp.stats.cns_evaluated + resp.stats.cns_pruned,
+                generated,
+                "workers={workers}"
+            );
+            let scores: Vec<f64> = resp.hits.iter().map(|h| h.score).collect();
+            let expected = serial.get_or_insert_with(|| (generated, scores.clone()));
+            assert_eq!(*expected, (generated, scores), "workers={workers}");
+        }
+    }
+
     #[test]
     fn relational_engine_empty_and_unmatched() {
         let db = generate_dblp(&DblpConfig::default());
